@@ -28,6 +28,7 @@ package cfg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"rev/internal/cpu"
@@ -160,27 +161,40 @@ func (g *Graph) SynthesizeAt(start uint64) (Block, bool) {
 			return blk, true // fell off the module end: no successor
 		}
 	}
-	set := make(map[uint64]bool)
+	blk.Succs = appendStaticSuccs(nil, m, &blk)
+	return blk, true
+}
+
+// appendStaticSuccs appends to dst the successors a block's bytes
+// determine — the fall-through of an artificial split, the direct
+// target of a jump or call, both arms of a conditional branch — sorted
+// and deduplicated; there are at most two. Computed terminators have
+// none here: their successors come from profiling and static analysis.
+func appendStaticSuccs(dst []uint64, m *prog.Module, blk *Block) []uint64 {
+	next := blk.End + isa.WordSize
 	if blk.Artificial {
-		if blk.End+isa.WordSize <= m.Limit() {
-			set[blk.End+isa.WordSize] = true
+		if next <= m.Limit() {
+			dst = append(dst, next)
 		}
-	} else {
-		in := m.InstrAt(blk.End - m.Base)
-		switch blk.Term {
-		case isa.KindCondBranch:
-			if t, ok := in.Target(blk.End); ok {
-				set[t] = true
-			}
-			set[blk.End+isa.WordSize] = true
-		case isa.KindJump, isa.KindCall:
-			if t, ok := in.Target(blk.End); ok {
-				set[t] = true
-			}
+		return dst
+	}
+	switch blk.Term {
+	case isa.KindCondBranch:
+		t, ok := m.InstrAt(blk.End - m.Base).Target(blk.End)
+		switch {
+		case !ok || t == next:
+			dst = append(dst, next)
+		case t < next:
+			dst = append(dst, t, next)
+		default:
+			dst = append(dst, next, t)
+		}
+	case isa.KindJump, isa.KindCall:
+		if t, ok := m.InstrAt(blk.End - m.Base).Target(blk.End); ok {
+			dst = append(dst, t)
 		}
 	}
-	blk.Succs = sortedKeys(set)
-	return blk, true
+	return dst
 }
 
 // Stats summarizes the graph in the terms the paper reports (Sec. VIII).
@@ -340,7 +354,7 @@ func (b *Builder) Build() (*Graph, error) {
 	for e := range entries {
 		work = append(work, e)
 	}
-	sort.Slice(work, func(i, j int) bool { return work[i] < work[j] })
+	slices.Sort(work)
 	for len(work) > 0 {
 		start := work[0]
 		work = work[1:]
@@ -359,12 +373,12 @@ func (b *Builder) Build() (*Graph, error) {
 			}
 		}
 	}
-	b.attachEdges(g)
 	g.Starts = make([]uint64, 0, len(g.ByStart))
 	for s := range g.ByStart {
 		g.Starts = append(g.Starts, s)
 	}
-	sort.Slice(g.Starts, func(i, j int) bool { return g.Starts[i] < g.Starts[j] })
+	slices.Sort(g.Starts)
+	b.attachEdges(g)
 	return g, nil
 }
 
@@ -407,35 +421,23 @@ func (b *Builder) walk(start uint64) (*Block, uint64, error) {
 	}
 }
 
-// attachEdges fills Succs and RetPreds for every block.
+// attachEdges fills Succs and RetPreds for every block. Only computed
+// terminators, whose targets are sets gathered from profiling and
+// analysis, need a sort. Every other block has at most two successors;
+// their lists are carved, capacity-capped, out of one shared array.
 func (b *Builder) attachEdges(g *Graph) {
-	for _, blk := range g.ByStart {
-		set := make(map[uint64]bool)
-		if blk.Artificial {
-			if blk.End+isa.WordSize <= b.mod.Limit() {
-				set[blk.End+isa.WordSize] = true
-			}
+	static := make([]uint64, 0, 2*len(g.Starts))
+	for _, start := range g.Starts {
+		blk := g.ByStart[start]
+		if !blk.Artificial && blk.Term.IsComputed() {
+			blk.Succs = sortedKeys(b.computedTargets[blk.End])
 		} else {
-			in := b.mod.InstrAt(blk.End - b.mod.Base)
-			switch blk.Term {
-			case isa.KindCondBranch:
-				if t, ok := in.Target(blk.End); ok {
-					set[t] = true
-				}
-				set[blk.End+isa.WordSize] = true
-			case isa.KindJump, isa.KindCall:
-				if t, ok := in.Target(blk.End); ok {
-					set[t] = true
-				}
-			case isa.KindRet, isa.KindIJump, isa.KindICall:
-				for t := range b.computedTargets[blk.End] {
-					set[t] = true
-				}
-			case isa.KindHalt:
-				// no successors
+			n := len(static)
+			static = appendStaticSuccs(static, b.mod, blk)
+			if len(static) > n {
+				blk.Succs = static[n:len(static):len(static)]
 			}
 		}
-		blk.Succs = sortedKeys(set)
 		if preds, ok := b.retEdges[blk.Start]; ok {
 			blk.RetPreds = sortedKeys(preds)
 		}
@@ -450,7 +452,7 @@ func sortedKeys(set map[uint64]bool) []uint64 {
 	for k := range set {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

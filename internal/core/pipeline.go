@@ -513,8 +513,8 @@ func (x *pipeRun) produce() {
 			x.cur.fail, x.cur.failPC = err, pc
 			finish(false)
 			flush()
-			x.prodErr <- err
 			x.pool.Close()
+			x.prodErr <- err
 			return
 		}
 		produced++
@@ -542,8 +542,11 @@ func (x *pipeRun) produce() {
 		}
 	}
 	flush()
-	x.prodErr <- nil
+	// Close before the final send: once the consumer has the exit
+	// status it may re-arm the rig for the next run, so the producer
+	// must not touch x after sending.
 	x.pool.Close()
+	x.prodErr <- nil
 }
 
 // consume retires records in program order: the reorder-buffer step. For

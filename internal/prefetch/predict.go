@@ -1,6 +1,8 @@
 package prefetch
 
 import (
+	"slices"
+
 	"rev/internal/cfg"
 	"rev/internal/chash"
 	"rev/internal/isa"
@@ -179,17 +181,29 @@ func (p *Prefetcher) add(plan *[]planned, inPlan map[qkey]bool, ms *moduleState,
 // edge query per static successor of each computed terminator. Queries
 // reachable only through runtime-learned computed targets are not
 // enumerable here; the MRU-trained frontier walk covers those.
+//
+// Every static block's signature is hashed here, once, by the same
+// parallel kernel sigtable.Build uses; the walk reads them back through
+// sigOf.
 func (p *Prefetcher) buildBacklog() {
 	for _, ms := range p.mods {
-		for _, start := range ms.g.Starts {
-			p.backlogFor(ms, ms.g.ByStart[start])
+		if p.format != sigtable.CFIOnly {
+			ms.static = sigtable.BlockSignatures(ms.g)
+		}
+		for i, start := range ms.g.Starts {
+			var sig chash.Sig
+			if ms.static != nil {
+				sig = ms.static[i]
+			}
+			p.backlogFor(ms, ms.g.ByStart[start], sig)
 		}
 	}
 }
 
 // backlogFor appends block b's statically enumerable query variants,
-// mirroring the same engine need construction emit does.
-func (p *Prefetcher) backlogFor(ms *moduleState, b *cfg.Block) {
+// mirroring the same engine need construction emit does. sig is b's
+// reference signature (unused in CFIOnly format).
+func (p *Prefetcher) backlogFor(ms *moduleState, b *cfg.Block, sig chash.Sig) {
 	if p.format == sigtable.CFIOnly {
 		if !b.Term.IsComputed() {
 			return
@@ -202,7 +216,6 @@ func (p *Prefetcher) backlogFor(ms *moduleState, b *cfg.Block) {
 		}
 		return
 	}
-	sig := ms.sigOf(b)
 	wants := []sigtable.Want{{}}
 	for _, rp := range b.RetPreds {
 		wants = append(wants, sigtable.Want{CheckPred: true, Pred: rp})
@@ -254,18 +267,23 @@ func (ms *moduleState) block(start uint64) *cfg.Block {
 	return b
 }
 
-// sigOf returns the block's reference signature, memoized by start
-// address. It hashes the analysis image's bytes — never-executed, so
-// stable. (A self-modifying measured instance diverges from these
-// bytes; its queries then simply never match a buffered key and fall
-// back to blocking lookups, exactly the unprefetched behavior.)
+// sigOf returns the block's reference signature over the analysis
+// image's bytes — never executed, so stable. (A self-modifying measured
+// instance diverges from these bytes; its queries then simply never
+// match a buffered key and fall back to blocking lookups, exactly the
+// unprefetched behavior.) A static block's signature was hashed at
+// construction; a synthesized block is hashed on first use and
+// memoized by start address.
 func (ms *moduleState) sigOf(b *cfg.Block) chash.Sig {
-	if s, ok := ms.sigs[b.Start]; ok {
+	if i, ok := slices.BinarySearch(ms.g.Starts, b.Start); ok {
+		return ms.static[i]
+	}
+	if s, ok := ms.synthSigs[b.Start]; ok {
 		return s
 	}
 	m := ms.g.Module
 	var sig chash.Sig
 	chash.BBSignatureInto(&sig, m.Code[b.Start-m.Base:b.End-m.Base+isa.WordSize], b.Start, b.End)
-	ms.sigs[b.Start] = sig
+	ms.synthSigs[b.Start] = sig
 	return sig
 }

@@ -177,12 +177,16 @@ type moduleState struct {
 	g           *cfg.Graph
 	src         sigtable.BatchSource
 	base, limit uint64
-	// sigs memoizes predicted block signatures by start address; the
-	// analysis image is never executed, so they are stable. (If the
+	// static holds the reference signature of every static block,
+	// indexed like g.Starts, hashed once at construction; nil in
+	// CFIOnly format, whose queries carry no signature. synthSigs
+	// memoizes the signatures of synthesized blocks by start address.
+	// The analysis image is never executed, so both are stable. (If the
 	// measured instance self-modifies code, its runtime signature
 	// diverges and the query key simply never matches — blocking
 	// fallback, exactly as unprefetched.)
-	sigs map[uint64]chash.Sig
+	static    []chash.Sig
+	synthSigs map[uint64]chash.Sig
 	// synth caches blocks synthesized at starts the static enumeration
 	// never produced.
 	synth map[uint64]*cfg.Block
@@ -212,14 +216,14 @@ func New(c Config, format sigtable.Format, mods []Module, set *telemetry.Set) (*
 			return nil, fmt.Errorf("prefetch: module %q needs a Graph and a Src", m.Name)
 		}
 		p.mods = append(p.mods, &moduleState{
-			idx:   i,
-			name:  m.Name,
-			g:     m.Graph,
-			src:   m.Src,
-			base:  m.Graph.Module.Base,
-			limit: m.Graph.Module.Limit(),
-			sigs:  make(map[uint64]chash.Sig),
-			synth: make(map[uint64]*cfg.Block),
+			idx:       i,
+			name:      m.Name,
+			g:         m.Graph,
+			src:       m.Src,
+			base:      m.Graph.Module.Base,
+			limit:     m.Graph.Module.Limit(),
+			synthSigs: make(map[uint64]chash.Sig),
+			synth:     make(map[uint64]*cfg.Block),
 		})
 	}
 	if len(p.mods) == 0 {

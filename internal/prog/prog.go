@@ -166,17 +166,21 @@ func (p *Program) Load(m *Module) error {
 
 // applyRelocs patches data-address immediates into the module image and the
 // loaded memory copy, keeping the two identical (the signature table is
-// built from the final bytes, so both views must agree).
+// built from the final bytes, so both views must agree). Symbols resolve
+// through a name index built once per call; when DataSyms defines a name
+// more than once, the first definition wins.
 func (p *Program) applyRelocs(m *Module) error {
-	for _, r := range m.Relocs {
-		var symOff uint64
-		found := false
-		for _, s := range m.DataSyms {
-			if s.Name == r.Sym {
-				symOff, found = s.Addr, true
-				break
-			}
+	if len(m.Relocs) == 0 {
+		return nil
+	}
+	syms := make(map[string]uint64, len(m.DataSyms))
+	for _, s := range m.DataSyms {
+		if _, dup := syms[s.Name]; !dup {
+			syms[s.Name] = s.Addr
 		}
+	}
+	for _, r := range m.Relocs {
+		symOff, found := syms[r.Sym]
 		if !found {
 			return fmt.Errorf("prog: module %q reloc to undefined data symbol %q", m.Name, r.Sym)
 		}

@@ -208,3 +208,78 @@ func TestMemoryPagesSorted(t *testing.T) {
 		t.Errorf("PageCount = %d", m.PageCount())
 	}
 }
+
+// relocModule is a two-instruction module whose first instruction's
+// immediate is patched by the loader to the address of data symbol sym
+// plus add.
+func relocModule(syms []Symbol, sym string, add int64) *Module {
+	return &Module{
+		Name:     "m",
+		Code:     makeCode(isa.Instr{Op: isa.ADDI, Rd: 1}, isa.Instr{Op: isa.HALT}),
+		Data:     make([]byte, 64),
+		DataSyms: syms,
+		Relocs:   []Reloc{{InstrOff: 0, Sym: sym, Add: add}},
+	}
+}
+
+func TestRelocPatchesImageAndMemory(t *testing.T) {
+	p := NewProgram()
+	m := relocModule([]Symbol{{Name: "a", Addr: 8}, {Name: "b", Addr: 24}}, "b", 4)
+	if err := p.Load(m); err != nil {
+		t.Fatal(err)
+	}
+	want := int32(m.DataOff + 24 + 4)
+	if got := m.InstrAt(0).Imm; got != want {
+		t.Errorf("image imm = %#x, want %#x", got, want)
+	}
+	if got := p.FetchInstr(m.Base).Imm; got != want {
+		t.Errorf("memory imm = %#x, want %#x", got, want)
+	}
+}
+
+func TestRelocDuplicateSymbolFirstDefinitionWins(t *testing.T) {
+	p := NewProgram()
+	m := relocModule([]Symbol{{Name: "x", Addr: 16}, {Name: "y", Addr: 0}, {Name: "x", Addr: 40}}, "x", 0)
+	if err := p.Load(m); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := m.InstrAt(0).Imm, int32(m.DataOff+16); got != want {
+		t.Errorf("imm = %#x, want %#x (the first definition of x)", got, want)
+	}
+}
+
+func TestRelocUndefinedSymbolFails(t *testing.T) {
+	p := NewProgram()
+	err := p.Load(relocModule([]Symbol{{Name: "a", Addr: 0}}, "nope", 0))
+	if err == nil {
+		t.Fatal("reloc to an undefined symbol loaded")
+	}
+	if want := `prog: module "m" reloc to undefined data symbol "nope"`; err.Error() != want {
+		t.Errorf("error = %q, want %q", err, want)
+	}
+	if len(p.Modules) != 0 {
+		t.Error("a module that failed to load was registered")
+	}
+}
+
+func TestRelocOutOfRangeImm32Fails(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		add  int64
+		want string
+	}{
+		{"above", 0x6000_0000, `prog: module "m" reloc "a" target 0x80000000 does not fit in imm32`},
+		{"negative", -0x2000_0001, `prog: module "m" reloc "a" target -0x1 does not fit in imm32`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := NewProgram()
+			err := p.Load(relocModule([]Symbol{{Name: "a", Addr: 0}}, "a", tc.add))
+			if err == nil {
+				t.Fatal("out-of-range reloc target loaded")
+			}
+			if err.Error() != tc.want {
+				t.Errorf("error = %q, want %q", err, tc.want)
+			}
+		})
+	}
+}

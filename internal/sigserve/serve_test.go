@@ -241,7 +241,10 @@ func TestServerHotSwapDuringConcurrentLookups(t *testing.T) {
 		wg.Add(1)
 		go func(seed uint64) {
 			defer wg.Done()
-			for i := 0; i < 100; i++ {
+			// At least 100 lookups each, and more until the swap loop has
+			// published twice: on a loaded host the swap goroutine may not
+			// be scheduled before 100 lookups finish.
+			for i := 0; i < 100 || (srv.epoch.Load() < 3 && i < 100_000); i++ {
 				// A query that misses (wrong sig) still walks the table, so
 				// the touched list exposes which generation answered.
 				_, touched, err := src.LookupAll(0x1000+8*seed, 1)

@@ -480,6 +480,22 @@ type connState struct {
 	tenantName string
 	row        *tenantRow // nil when telemetry is disabled
 	shard      int        // this connection's cell in row.requests
+	req        reqRecord  // the request being served, until recorded
+}
+
+// reqRecord holds what the metrics of one post-handshake request need
+// until they are recorded. Requests on a connection are served one at
+// a time, so one record per connection suffices.
+type reqRecord struct {
+	armed   bool
+	start   time.Time
+	t0      int64 // telemetry track clock at start
+	typ     MsgType
+	typeIdx int
+	reqID   uint64
+	bytesIn int
+	traceID uint64
+	traceOK bool
 }
 
 // serveConn runs one connection: Hello/Welcome handshake, then a
@@ -623,25 +639,14 @@ func (s *Server) handle(cs *connState, f Frame) bool {
 			return false          // drop mid-request, no response
 		}
 	}
-	typeIdx := reqTypeIndex(f.Type)
-	defer func() {
-		dur := time.Since(start)
-		if tel != nil {
-			tel.requests.Inc()
-			tel.bytesIn.Add(uint64(bytesIn))
-			tel.latency.Observe(uint64(dur))
-			if typeIdx >= 0 {
-				tel.perType[typeIdx].Observe(uint64(dur))
-			}
-			cs.row.observe(typeIdx, cs.shard, bytesIn, uint64(dur))
-			if traceOK {
-				tel.span(typeIdx, t0, int64(dur), traceID)
-			}
-		}
-		if sl := s.slow.Load(); sl != nil {
-			sl.maybe(cs.tenantName, f.Type, f.ReqID, traceID, dur)
-		}
-	}()
+	// From here on the request counts: reply records it just before
+	// the response is written, and the deferred call covers a request
+	// that ends without one.
+	cs.req = reqRecord{
+		armed: true, start: start, t0: t0, typ: f.Type, typeIdx: reqTypeIndex(f.Type),
+		reqID: f.ReqID, bytesIn: bytesIn, traceID: traceID, traceOK: traceOK,
+	}
+	defer s.record(cs)
 
 	switch f.Type {
 	case MsgPing:
@@ -871,10 +876,40 @@ func (s *Server) lookup(t *tenant, tenantName string, req lookupReq) (lookupRes,
 	return res, 0, ""
 }
 
+// record records the connection's armed request, once: the request
+// counter, the latency histograms, the tenant row, the span and the
+// slow log. The latency runs from the request's arrival to this call.
+func (s *Server) record(cs *connState) {
+	rq := &cs.req
+	if !rq.armed {
+		return
+	}
+	rq.armed = false
+	dur := time.Since(rq.start)
+	if tel := s.tel; tel != nil {
+		tel.requests.Inc()
+		tel.bytesIn.Add(uint64(rq.bytesIn))
+		tel.latency.Observe(uint64(dur))
+		if rq.typeIdx >= 0 {
+			tel.perType[rq.typeIdx].Observe(uint64(dur))
+		}
+		cs.row.observe(rq.typeIdx, cs.shard, rq.bytesIn, uint64(dur))
+		if rq.traceOK {
+			tel.span(rq.typeIdx, rq.t0, int64(dur), rq.traceID)
+		}
+	}
+	if sl := s.slow.Load(); sl != nil {
+		sl.maybe(cs.tenantName, rq.typ, rq.reqID, rq.traceID, dur)
+	}
+}
+
 // reply writes one response frame at the connection's negotiated
-// version; false tears the connection down. Response bytes and error
-// counts land on both the global and the tenant-row metrics.
+// version; false tears the connection down. It first records the
+// request being answered, so the server's metrics count a request
+// before its client can see the reply. Response bytes and error counts
+// land on both the global and the tenant-row metrics.
 func (s *Server) reply(cs *connState, reqID uint64, typ MsgType, payload []byte) bool {
+	s.record(cs)
 	isErr := typ == MsgError
 	n := headerSize + len(payload)
 	if s.tel != nil {

@@ -29,7 +29,9 @@ package sigtable
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
 
 	"rev/internal/cfg"
 	"rev/internal/chash"
@@ -163,14 +165,10 @@ func Build(g *cfg.Graph, format Format, key crypt.TableKey, ks *crypt.KeyStore) 
 	if format == CFIOnly {
 		return buildCFIOnly(g, key, ks)
 	}
-	blocks := make([]*cfg.Block, 0, len(g.ByStart))
-	for _, s := range g.Starts {
-		blocks = append(blocks, g.ByStart[s])
-	}
 	// P: one bucket per ~1.33 entries keeps the bucket array lean at the
 	// cost of longer collision chains, matching the paper's trade of
 	// memory space against miss-service time.
-	p := nextPrime(uint64(len(blocks))*3/4 + 1)
+	p := nextPrime(uint64(len(g.Starts))*3/4 + 1)
 
 	recs := make([]rec, p)
 	alloc := func() uint32 {
@@ -178,11 +176,10 @@ func Build(g *cfg.Graph, format Format, key crypt.TableKey, ks *crypt.KeyStore) 
 		return uint32(len(recs) - 1)
 	}
 
-	mod := g.Module
-	for _, b := range blocks {
-		code := make([]byte, b.NumInstrs*isa.WordSize)
-		copy(code, mod.Code[b.Start-mod.Base:b.End-mod.Base+isa.WordSize])
-		sig := chash.BBSignature(code, b.Start, b.End)
+	sigs := BlockSignatures(g)
+	for i, start := range g.Starts {
+		b := g.ByStart[start]
+		sig := sigs[i]
 
 		var targets []uint64
 		if format == Aggressive || b.Term.IsComputed() {
@@ -242,6 +239,49 @@ func Build(g *cfg.Graph, format Format, key crypt.TableKey, ks *crypt.KeyStore) 
 
 	img, tbl := serialize(recs, p, format, key, ks, g)
 	return tbl, img, nil
+}
+
+// minBlocksPerWorker is the least work BlockSignatures hands one
+// goroutine; smaller graphs hash inline, where a goroutine's start-up
+// would cost more than it saves.
+const minBlocksPerWorker = 512
+
+// BlockSignatures returns the reference signature of every block of g,
+// indexed like g.Starts: the CubeHash of the block's bytes in
+// g.Module.Code bound to its start and end addresses, exactly as
+// chash.BBSignature computes it. Blocks are hashed in place, without
+// copying their bytes, across up to GOMAXPROCS goroutines; a graph too
+// small to share out, or GOMAXPROCS 1, is hashed inline. The result
+// does not depend on the worker count.
+func BlockSignatures(g *cfg.Graph) []chash.Sig {
+	sigs := make([]chash.Sig, len(g.Starts))
+	workers := min(runtime.GOMAXPROCS(0), len(sigs)/minBlocksPerWorker)
+	if workers <= 1 {
+		hashBlocks(g, sigs, 0)
+		return sigs
+	}
+	chunk := (len(sigs) + workers - 1) / workers
+	var wg sync.WaitGroup
+	for lo := 0; lo < len(sigs); lo += chunk {
+		hi := min(lo+chunk, len(sigs))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			hashBlocks(g, sigs[lo:hi], lo)
+		}()
+	}
+	wg.Wait()
+	return sigs
+}
+
+// hashBlocks fills sigs with the signatures of the blocks starting at
+// g.Starts[first:first+len(sigs)].
+func hashBlocks(g *cfg.Graph, sigs []chash.Sig, first int) {
+	mod := g.Module
+	for i := range sigs {
+		b := g.ByStart[g.Starts[first+i]]
+		chash.BBSignatureInto(&sigs[i], mod.Code[b.Start-mod.Base:b.End-mod.Base+isa.WordSize], b.Start, b.End)
+	}
 }
 
 // buildSpill chains the given target and predecessor addresses into
